@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "harness/driver.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -78,7 +79,9 @@ inline int RunQueryParallelismBench(
       "XBench extension — intra-query parallelism sweep "
       "(native engine, small scale, modeled exec millis)\n");
   std::printf("%-6s %-6s", "query", "class");
-  for (int p : parallelisms) std::printf(" %9s", ("x" + std::to_string(p)).c_str());
+  for (int p : parallelisms) {
+    std::printf(" %9s", StrCat("x", std::to_string(p)).c_str());
+  }
   std::printf(" %9s\n", "speedup");
 
   obs::JsonWriter writer;

@@ -1,8 +1,9 @@
 // Generates the checked-in seed corpus under fuzz/corpus/ from the same
 // deterministic sources the benchmark itself uses: datagen sample
-// documents per class (xml/), the canonical class DTDs (dtd/), the 20
-// canned queries instantiated per class (xquery/), and representative
-// observability JSON documents (json/).
+// documents per class (xml/), their stored node images (image/), the
+// canonical class DTDs (dtd/), the 20 canned queries instantiated per
+// class (xquery/), and representative observability JSON documents
+// (json/).
 //
 //   corpus_gen <corpus-root>
 //
@@ -19,6 +20,8 @@
 #include "analysis/class_schemas.h"
 #include "datagen/generator.h"
 #include "workload/queries.h"
+#include "xml/node_image.h"
+#include "xml/parser.h"
 
 namespace {
 
@@ -60,7 +63,7 @@ int main(int argc, char** argv) {
   }
   const fs::path root(argv[1]);
   std::error_code ec;
-  for (const char* kind : {"xml", "dtd", "xquery", "json"}) {
+  for (const char* kind : {"xml", "image", "dtd", "xquery", "json"}) {
     fs::create_directories(root / kind, ec);
     if (ec) {
       std::fprintf(stderr, "corpus_gen: cannot create %s/%s: %s\n",
@@ -84,7 +87,19 @@ int main(int argc, char** argv) {
       char name[64];
       std::snprintf(name, sizeof(name), "%s_%zu.xml", Tag(cls), kept);
       if (!WriteFile(root / "xml" / name, doc.text)) return 1;
-      ++files;
+      // image/: the same document as the native engine stores it.
+      auto parsed = xbench::xml::Parse(doc.text, doc.name);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "corpus_gen: %s: %s\n", doc.name.c_str(),
+                     parsed.status().ToString().c_str());
+        return 1;
+      }
+      std::snprintf(name, sizeof(name), "%s_%zu.img", Tag(cls), kept);
+      if (!WriteFile(root / "image" / name,
+                     xbench::xml::EncodeImage(*parsed->root()))) {
+        return 1;
+      }
+      files += 2;
       ++kept;
     }
   }

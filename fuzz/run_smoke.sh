@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # fuzz_smoke ctest body: replay the checked-in seed corpus and regression
-# inputs through all four harnesses, then run a short deterministic
+# inputs through all five harnesses, then run a short deterministic
 # mutation loop in each (XBENCH_FUZZ_ITERS iterations, fixed seed, so two
 # runs of the suite execute byte-identical inputs).
 #
 # usage: run_smoke.sh CORPUS_DIR REGRESSIONS_DIR XML_BIN DTD_BIN XQUERY_BIN JSON_BIN
+#                     IMAGE_BIN
 set -euo pipefail
 
 corpus="$1"
@@ -12,7 +13,7 @@ regressions="$2"
 shift 2
 
 iters="${XBENCH_FUZZ_ITERS:-200}"
-kinds=(xml dtd xquery json)
+kinds=(xml dtd xquery json image)
 
 i=0
 for bin in "$@"; do

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "analysis/analyzer.h"
+#include "common/strings.h"
 #include "xquery/parser.h"
 
 namespace xbench::analysis {
@@ -85,18 +86,31 @@ std::string QueryGenerator::GenLiteral() {
   switch (rng_.NextBounded(3)) {
     case 0:
       return std::to_string(rng_.NextInt(0, 1000));
-    case 1:
-      return std::to_string(rng_.NextInt(0, 99)) + "." +
-             std::to_string(rng_.NextInt(0, 9));
+    case 1: {
+      // Right to left, as in ValueComparison.
+      const std::string fraction = std::to_string(rng_.NextInt(0, 9));
+      const std::string whole = std::to_string(rng_.NextInt(0, 99));
+      return StrCat(whole, ".", fraction);
+    }
     default:
-      return "\"" + rng_.NextAlpha(static_cast<int>(rng_.NextInt(1, 6))) +
-             "\"";
+      return StrCat("\"", rng_.NextAlpha(static_cast<int>(rng_.NextInt(1, 6))),
+                    "\"");
   }
 }
 
 std::string QueryGenerator::GenComparisonOp() {
   static const char* kOps[] = {"=", "!=", "<", "<=", ">", ">="};
   return kOps[rng_.NextIndex(6)];
+}
+
+std::string QueryGenerator::ValueComparison(
+    const char* open, const std::vector<std::string>& names) {
+  // Literal, operator, then name: right to left, the order GCC gave the
+  // `+` chain this replaced, so seeded query streams are unchanged.
+  const std::string literal = GenLiteral();
+  const std::string op = GenComparisonOp();
+  const std::string& name = names[rng_.NextIndex(names.size())];
+  return StrCat(open, name, " ", op, " ", literal, "]");
 }
 
 std::string QueryGenerator::GenPredicate(const std::string& context_type) {
@@ -107,21 +121,19 @@ std::string QueryGenerator::GenPredicate(const std::string& context_type) {
   for (int tries = 0; tries < 3; ++tries) {
     switch (rng_.NextBounded(4)) {
       case 0:  // positional
-        return "[" + std::to_string(rng_.NextInt(1, 3)) + "]";
+        return StrCat("[", std::to_string(rng_.NextInt(1, 3)), "]");
       case 1:  // child existence
         if (!have_kids) break;
         return "[" + kids->second[rng_.NextIndex(kids->second.size())] + "]";
       case 2:  // child value comparison
         if (!have_kids) break;
-        return "[" + kids->second[rng_.NextIndex(kids->second.size())] + " " +
-               GenComparisonOp() + " " + GenLiteral() + "]";
+        return ValueComparison("[", kids->second);
       default:  // attribute value comparison
         if (!have_attrs) break;
-        return "[@" + ats->second[rng_.NextIndex(ats->second.size())] + " " +
-               GenComparisonOp() + " " + GenLiteral() + "]";
+        return ValueComparison("[@", ats->second);
     }
   }
-  return "[" + std::to_string(rng_.NextInt(1, 3)) + "]";
+  return StrCat("[", std::to_string(rng_.NextInt(1, 3)), "]");
 }
 
 GeneratedQuery QueryGenerator::GenCandidate() {

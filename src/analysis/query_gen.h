@@ -51,6 +51,9 @@ class QueryGenerator {
   std::string GenPredicate(const std::string& context_type);
   std::string GenLiteral();
   std::string GenComparisonOp();
+  /// `<open><name> <op> <literal>]` over one of `names`.
+  std::string ValueComparison(const char* open,
+                              const std::vector<std::string>& names);
 
   /// One template expansion (may not analyze clean — Next() retries).
   GeneratedQuery GenCandidate();

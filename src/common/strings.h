@@ -7,6 +7,21 @@
 
 namespace xbench {
 
+/// Concatenates `parts` (anything convertible to std::string_view) into
+/// one string sized up front. Use it instead of `a + b + c` chains over
+/// temporaries, which GCC 12 at -O3 misreports as overlapping copies
+/// (-Werror=restrict) and which allocate once per `+`.
+template <typename... Parts>
+std::string StrCat(const Parts&... parts) {
+  const std::string_view views[] = {std::string_view(parts)...};
+  size_t size = 0;
+  for (std::string_view view : views) size += view.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view view : views) out.append(view);
+  return out;
+}
+
 /// Splits `text` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view text, char sep);
 

@@ -5,9 +5,11 @@
 #include <set>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "xml/node_image.h"
 #include "xml/parser.h"
 #include "xquery/parser.h"
 
@@ -108,20 +110,23 @@ Status NativeEngine::BulkLoad(datagen::DbClass db_class,
   for (const LoadDocument& doc : docs) {
     obs::ScopedSpan doc_span("load.doc");
     const size_t ordinal = registry_.size();
+    // X-Hive parses into its persistent DOM on load. We parse once (which
+    // also verifies well-formedness), feed the tree through the index
+    // structures, and persist it as a pre-order node image that later
+    // accesses decode without re-parsing.
+    xml::Document parsed;
     {
-      // X-Hive parses into its persistent DOM on load; we parse (which
-      // also verifies well-formedness), feed the tree through the index
-      // structures, and persist the canonical serialized form,
-      // re-materializing trees on demand.
       obs::ScopedSpan parse_span("parse");
-      auto parsed = xml::Parse(doc.text, doc.name);
-      if (!parsed.ok()) return parsed.status();
+      auto result = xml::Parse(doc.text, doc.name);
+      if (!result.ok()) return result.status();
+      parsed = std::move(result).value();
       obs::ScopedSpan index_span("index");
-      IndexDocument(ordinal, *parsed->root());
+      IndexDocument(ordinal, *parsed.root());
     }
     {
       obs::ScopedSpan store_span("store");
-      const storage::RecordId rid = file_->Append(doc.text);
+      const storage::RecordId rid =
+          file_->Append(xml::EncodeImage(*parsed.root()));
       registry_.push_back({doc.name, rid, /*deleted=*/false});
     }
     {
@@ -150,7 +155,8 @@ Status NativeEngine::InsertDocument(const LoadDocument& doc) {
   disk_->clock().AdvanceMicros(kPerDocumentIngestMicros);
   auto parsed = xml::Parse(doc.text, doc.name);
   if (!parsed.ok()) return parsed.status();
-  const storage::RecordId rid = file_->Append(doc.text);
+  const storage::RecordId rid =
+      file_->Append(xml::EncodeImage(*parsed->root()));
   const size_t ordinal = registry_.size();
   registry_.push_back({doc.name, rid, /*deleted=*/false});
   live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -166,12 +172,13 @@ Status NativeEngine::DeleteDocument(const std::string& name) {
     if (entry.deleted || entry.name != name) continue;
     // Erase index entries (including the always-on structural index)
     // before dropping the document.
-    XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    path_index_.RemoveDocument(ordinal, *doc->root());
+    XBENCH_ASSIGN_OR_RETURN(const CachedDoc* cached, Materialize(ordinal));
+    const xml::Node& root = *cached->doc->root();
+    path_index_.RemoveDocument(ordinal, root);
     if (text_index_ != nullptr) text_index_->RemoveDocument(ordinal);
     for (auto& [index_name, index] : value_indexes_) {
       for (const auto& [value, order] :
-           ExtractIndexPostings(*doc->root(), index.path)) {
+           ExtractIndexPostings(root, index.path)) {
         index.tree->Erase({relational::Value::String(value)},
                           PackNodeRid(ordinal, order));
       }
@@ -209,10 +216,10 @@ Status NativeEngine::CreateIndex(const IndexSpec& spec) {
       index.tree = std::make_unique<relational::BTreeIndex>(disk_->clock());
       for (size_t ordinal = 0; ordinal < registry_.size(); ++ordinal) {
         if (registry_[ordinal].deleted) continue;
-        XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc,
+        XBENCH_ASSIGN_OR_RETURN(const CachedDoc* cached,
                                 Materialize(ordinal));
         for (auto& [value, order] : ExtractIndexPostings(
-                 *doc->root(), spec.path, &index.single_valued)) {
+                 *cached->doc->root(), spec.path, &index.single_valued)) {
           index.tree->Insert({relational::Value::String(value)},
                              PackNodeRid(ordinal, order));
         }
@@ -228,9 +235,9 @@ Status NativeEngine::CreateIndex(const IndexSpec& spec) {
       auto index = std::make_unique<TextIndex>(&disk_->clock());
       for (size_t ordinal = 0; ordinal < registry_.size(); ++ordinal) {
         if (registry_[ordinal].deleted) continue;
-        XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc,
+        XBENCH_ASSIGN_OR_RETURN(const CachedDoc* cached,
                                 Materialize(ordinal));
-        index->AddDocument(ordinal, *doc->root());
+        index->AddDocument(ordinal, *cached->doc->root());
       }
       text_index_ = std::move(index);
       text_index_name_ = spec.name;
@@ -367,31 +374,30 @@ void NativeEngine::ColdRestartLocked() {
   cache_.clear();
 }
 
-Result<const xml::Document*> NativeEngine::Materialize(size_t ordinal) {
+Result<const NativeEngine::CachedDoc*> NativeEngine::Materialize(
+    size_t ordinal) {
   {
     MutexLock cache_lock(cache_mu_);
     auto it = cache_.find(ordinal);
-    if (it != cache_.end()) {
-      return const_cast<const xml::Document*>(it->second.doc.get());
-    }
+    if (it != cache_.end()) return static_cast<const CachedDoc*>(&it->second);
   }
   obs::ScopedSpan span("native.materialize");
   static obs::Counter& materialized = obs::MetricsRegistry::Default().GetCounter(
       "xbench.native.docs_materialized");
   materialized.Increment();
   const DocEntry& entry = registry_[ordinal];
-  const std::string text = file_->Read(entry.record);
-  auto parsed = xml::Parse(text, entry.name);
-  if (!parsed.ok()) return parsed.status();
-  auto doc = std::make_unique<xml::Document>(std::move(parsed).value());
+  const std::string image = file_->Read(entry.record);
+  CachedDoc cached;
+  auto decoded = xml::DecodeImage(image, entry.name, &cached.by_order);
+  if (!decoded.ok()) return decoded.status();
+  cached.doc = std::make_unique<xml::Document>(std::move(decoded).value());
   // Racing materializations of the same ordinal both reach here; the
-  // first insert wins and the loser's parse is discarded. Entries are
+  // first insert wins and the loser's decode is discarded. Entries are
   // never replaced while readers hold the collection lock shared, so the
   // returned pointer stays valid for the statement.
   MutexLock cache_lock(cache_mu_);
-  auto [it, inserted] = cache_.try_emplace(ordinal);
-  if (inserted) it->second.doc = std::move(doc);
-  return const_cast<const xml::Document*>(it->second.doc.get());
+  auto it = cache_.try_emplace(ordinal, std::move(cached)).first;
+  return static_cast<const CachedDoc*>(&it->second);
 }
 
 const xml::Node* NativeEngine::NodeByRid(uint64_t rid) {
@@ -400,24 +406,33 @@ const xml::Node* NativeEngine::NodeByRid(uint64_t rid) {
   if (ordinal >= registry_.size() || registry_[ordinal].deleted) {
     return nullptr;
   }
-  auto doc_or = Materialize(ordinal);
-  if (!doc_or.ok()) return nullptr;
-  const xml::Document* doc = doc_or.value();
-  MutexLock cache_lock(cache_mu_);
-  auto it = cache_.find(ordinal);
-  if (it == cache_.end()) return nullptr;
-  CachedDoc& entry = it->second;
-  if (entry.by_order.empty()) {
-    // Pre-order ids are dense from 1, so a flat table resolves postings
-    // in O(1); built once per materialization, shared by every probe.
-    entry.by_order.assign(doc->NodeCount() + 1, nullptr);
-    doc->root()->Visit([&](const xml::Node& node) {
-      if (node.order() < entry.by_order.size()) {
-        entry.by_order[node.order()] = &node;
-      }
-    });
+  auto cached = Materialize(ordinal);
+  if (!cached.ok()) return nullptr;
+  const std::vector<const xml::Node*>& by_order = (*cached)->by_order;
+  return order < by_order.size() ? by_order[order] : nullptr;
+}
+
+void NativeEngine::ForEachPosting(
+    const std::function<void(uint64_t rid, const xml::Node* node)>& visit) {
+  ReaderLock lock(collection_mu_);
+  for (const auto& [name, index] : value_indexes_) {
+    index.tree->Range(nullptr, nullptr,
+                      [&](const relational::Key&, storage::RecordId rid) {
+                        visit(rid, NodeByRid(rid));
+                        return true;
+                      });
   }
-  return order < entry.by_order.size() ? entry.by_order[order] : nullptr;
+  if (text_index_ != nullptr) {
+    for (const auto& [word, rids] : text_index_->postings()) {
+      for (uint64_t rid : rids) visit(rid, NodeByRid(rid));
+    }
+  }
+  for (const auto& [path, postings] : path_index_.postings()) {
+    for (const PathIndex::Posting& posting : postings) {
+      const uint64_t rid = PackNodeRid(posting.ordinal, posting.order);
+      visit(rid, NodeByRid(rid));
+    }
+  }
 }
 
 std::optional<std::vector<const xml::Node*>> NativeEngine::ProbeValueEquals(
@@ -537,8 +552,8 @@ Result<xquery::QueryResult> NativeEngine::RunOver(
   xquery::Sequence input;
   input.reserve(ordinals.size());
   for (size_t ordinal : ordinals) {
-    XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    input.push_back(xquery::Item::Node(doc->root()));
+    XBENCH_ASSIGN_OR_RETURN(const CachedDoc* cached, Materialize(ordinal));
+    input.push_back(xquery::Item::Node(cached->doc->root()));
   }
   xquery::Bindings bindings;
   bindings["input"] = std::move(input);
@@ -586,8 +601,8 @@ Result<xquery::QueryResult> NativeEngine::RunPlanOver(
   xquery::Sequence input;
   input.reserve(ordinals.size());
   for (size_t ordinal : ordinals) {
-    XBENCH_ASSIGN_OR_RETURN(const xml::Document* doc, Materialize(ordinal));
-    input.push_back(xquery::Item::Node(doc->root()));
+    XBENCH_ASSIGN_OR_RETURN(const CachedDoc* cached, Materialize(ordinal));
+    input.push_back(xquery::Item::Node(cached->doc->root()));
   }
   xquery::Bindings bindings;
   bindings["input"] = std::move(input);
@@ -604,6 +619,20 @@ Result<xquery::QueryResult> NativeEngine::ExecutePlan(
     xquery::exec::ExecStats* stats) {
   ReaderLock lock(collection_mu_);
   return ExecutePlanImpl(compiled, stats);
+}
+
+Result<std::string> NativeEngine::ExecutePlanToText(
+    const xquery::plan::CompiledQuery& compiled,
+    xquery::exec::ExecStats* stats, double* serialize_millis) {
+  ReaderLock lock(collection_mu_);
+  XBENCH_ASSIGN_OR_RETURN(xquery::QueryResult result,
+                          ExecutePlanImpl(compiled, stats));
+  Stopwatch serialize_watch;
+  std::string text = result.ToText();
+  if (serialize_millis != nullptr) {
+    *serialize_millis = serialize_watch.ElapsedMillis();
+  }
+  return text;
 }
 
 Result<xquery::QueryResult> NativeEngine::ExecutePlanImpl(

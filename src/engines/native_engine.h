@@ -2,6 +2,7 @@
 #define XBENCH_ENGINES_NATIVE_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,13 +28,19 @@ namespace xbench::engines {
 /// materialized trees, and secondary indexes map values, paths and word
 /// tokens to node-granular postings.
 ///
-/// Cost model: answering a query materializes candidate documents from the
-/// page store (virtual I/O proportional to document bytes, like X-Hive's
-/// persistent-DOM page reads) and walks the tree (real CPU). A secondary
-/// index narrows both the candidate document set and the in-document node
-/// set, but each touched document must still be materialized — the
-/// behaviour behind the paper's X-Hive numbers (fast on TC/MD, collapsing
-/// on DC/MD-large whole-collection scans).
+/// Storage: load parses each document once (verifying it and feeding the
+/// indexes) and persists it as a compact pre-order node image
+/// (xml/node_image.h), the analogue of X-Hive's persistent DOM. The text
+/// is not kept.
+///
+/// Cost model: answering a query materializes candidate documents — every
+/// page of the image is read from the page store (virtual I/O
+/// proportional to image bytes) and decoded linearly into a tree (real
+/// CPU, no tokenizing or entity decoding) — and walks the tree (real CPU).
+/// A secondary index narrows both the candidate document set and the
+/// in-document node set, but each touched document must still be
+/// materialized — the behaviour behind the paper's X-Hive numbers (fast on
+/// TC/MD, collapsing on DC/MD-large whole-collection scans).
 ///
 /// Index structures (DESIGN.md §13):
 ///  - a structural PathIndex is maintained unconditionally; it doubles as
@@ -110,10 +117,21 @@ class NativeEngine : public XmlDbms {
   /// (the plan cache key carries the guided flag, so a rejection here
   /// means the caller compiled for the wrong gate state). Per-operator
   /// counters land in `*stats` when given, otherwise in the shared
-  /// last_plan_stats() slot (single-threaded callers only).
+  /// last_plan_stats() slot (single-threaded callers only). Node items of
+  /// the result stay valid only until the next mutation or cold restart.
   Result<xquery::QueryResult> ExecutePlan(
       const xquery::plan::CompiledQuery& compiled,
       xquery::exec::ExecStats* stats = nullptr);
+
+  /// ExecutePlan plus the answer's serialization (QueryResult::ToText)
+  /// under the same shared collection lock. A QueryResult's node items
+  /// point into cached documents, which a cold restart or mutation frees
+  /// as soon as the lock is released, so callers that race writers (the
+  /// workload sessions) serialize here. `*serialize_millis`, when given,
+  /// receives the serialization time.
+  Result<std::string> ExecutePlanToText(
+      const xquery::plan::CompiledQuery& compiled,
+      xquery::exec::ExecStats* stats, double* serialize_millis = nullptr);
 
   /// Compiled form of QueryWithIndex (the session-level index *hint*
   /// path, distinct from planner-chosen probes).
@@ -139,6 +157,15 @@ class NativeEngine : public XmlDbms {
   const xquery::exec::ExecStats& last_plan_stats() const {
     return last_plan_stats_;
   }
+
+  /// Resolves every posting of every index (value, text and the
+  /// structural path index) through the lookup the probes use, calling
+  /// `visit(rid, node)` with the packed (ordinal, pre-order) rid and its
+  /// node, or nullptr when the posting does not resolve. Documents are
+  /// materialized on demand; `node` is valid only during the call. For
+  /// consistency checks.
+  void ForEachPosting(
+      const std::function<void(uint64_t rid, const xml::Node* node)>& visit);
 
   /// Live (non-deleted) documents.
   size_t document_count() const {
@@ -182,18 +209,20 @@ class NativeEngine : public XmlDbms {
     bool single_valued = true;
   };
 
-  /// A materialized document plus its lazily-built order -> node table
-  /// (pre-order ids are dense from 1, so a flat vector resolves index
-  /// postings in O(1)).
+  /// A materialized document plus its order -> node table (pre-order ids
+  /// are dense from 1, so a flat vector resolves index postings in O(1)).
+  /// Both are filled by the one decode pass.
   struct CachedDoc {
     std::unique_ptr<xml::Document> doc;
     std::vector<const xml::Node*> by_order;
   };
 
-  /// Parses document `ordinal` out of the page store (I/O + parse cost),
-  /// caching it until the next cold restart. Thread-safe: racing
-  /// materializations of the same ordinal both parse, first insert wins.
-  Result<const xml::Document*> Materialize(size_t ordinal)
+  /// Reads document `ordinal`'s node image out of the page store (I/O)
+  /// and decodes it (CPU), caching the result until the next cold restart
+  /// or the document's deletion. Thread-safe: racing materializations of
+  /// the same ordinal both decode, first insert wins. The returned entry
+  /// stays valid while the caller holds the collection lock.
+  Result<const CachedDoc*> Materialize(size_t ordinal)
       XBENCH_REQUIRES_SHARED(collection_mu_);
 
   /// Resolves a packed (ordinal, pre-order) posting to its live node,

@@ -64,6 +64,10 @@ class PathIndex {
   }
   /// Distinct root-element tags currently loaded.
   std::vector<std::string> root_names() const;
+  /// Every posting, by qualified path.
+  const std::map<std::string, std::vector<Posting>>& postings() const {
+    return postings_;
+  }
 
  private:
   std::map<std::string, std::vector<Posting>> postings_;
@@ -103,6 +107,10 @@ class TextIndex {
 
   uint64_t entries() const { return entries_; }
   uint64_t distinct_words() const { return postings_.size(); }
+  /// Every posting, by word.
+  const std::map<std::string, std::vector<uint64_t>>& postings() const {
+    return postings_;
+  }
 
  private:
   std::map<std::string, std::vector<uint64_t>> postings_;

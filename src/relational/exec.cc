@@ -77,7 +77,9 @@ std::string HashKeyOf(const Value& v) {
   // Type-tagged text encoding; ints and doubles that compare equal map to
   // the same bucket via the numeric rendering.
   if (v.is_null()) return "\x00";
-  return std::string(1, static_cast<char>(v.type())) + v.ToText();
+  std::string key(1, static_cast<char>(v.type()));
+  key += v.ToText();
+  return key;
 }
 }  // namespace
 

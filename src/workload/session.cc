@@ -120,23 +120,26 @@ void RunNative(engines::NativeEngine& engine,
       collect_plan_stats || profile ? &result.plan_stats : &scratch;
   // No session-level index hint here: access-path selection (including
   // index probes and the document prefilter) is the planner's job now;
-  // the compiled plan carries its choices.
+  // the compiled plan carries its choices. The answer is serialized inside
+  // the engine, under the collection lock its node items depend on.
   Stopwatch engine_watch;
-  auto query_result = engine.ExecutePlan(compiled, stats);
-  const double engine_millis = engine_watch.ElapsedMillis();
-  if (!query_result.ok()) {
-    result.status = query_result.status();
+  double to_text_millis = 0;
+  auto text = engine.ExecutePlanToText(compiled, stats, &to_text_millis);
+  const double engine_millis = engine_watch.ElapsedMillis() - to_text_millis;
+  if (!text.ok()) {
+    result.status = text.status();
     return;
   }
   Stopwatch serialize_watch;
-  result.lines = SplitLines(query_result->ToText());
+  result.lines = SplitLines(*text);
   result.compiled = true;
   result.access_path = compiled.logical.access_path_summary;
   if (profile) {
     result.profile.collected = true;
     result.profile.engine_millis = engine_millis;
     result.profile.exec_millis = stats->total_millis;
-    result.profile.serialize_millis = serialize_watch.ElapsedMillis();
+    result.profile.serialize_millis =
+        to_text_millis + serialize_watch.ElapsedMillis();
   }
 }
 

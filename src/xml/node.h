@@ -29,8 +29,9 @@ struct Attribute {
 ///
 /// Ownership: a node owns its children (`unique_ptr`); `parent` is a
 /// non-owning back pointer. Document order ids are assigned by
-/// Document::AssignOrder() and are used by the query engine for sorting
-/// node sequences into document order.
+/// Document::AssignOrder() (or by DecodeImage, xml/node_image.h, as it
+/// builds the tree) and are used by the query engine for sorting node
+/// sequences into document order.
 class Node {
  public:
   static std::unique_ptr<Node> Element(std::string name);
@@ -97,6 +98,9 @@ class Node {
   Node& operator=(const Node&) = delete;
 
  private:
+  // Builds trees straight from a stored node image (xml/node_image.cc).
+  friend class ImageDecoder;
+
   explicit Node(NodeKind kind) : kind_(kind) {}
 
   NodeKind kind_;
@@ -140,6 +144,9 @@ class Document {
   Document Clone() const;
 
  private:
+  // Assembles a decoded tree whose order ids are already assigned.
+  friend class ImageDecoder;
+
   std::string name_;
   std::unique_ptr<Node> root_;
 };

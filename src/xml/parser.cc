@@ -23,11 +23,6 @@ bool IsAllWhitespace(std::string_view text) {
   return true;
 }
 
-// Maximum element nesting the parser accepts. Deeper documents (the fuzz
-// corpus contains a 100k-deep `<a><a>...` chain) would otherwise exhaust
-// the native stack — a crash, not a Status error.
-constexpr int kMaxElementDepth = 256;
-
 /// Recursive-descent XML parser over a string_view cursor.
 class ParserImpl {
  public:

@@ -9,6 +9,12 @@
 
 namespace xbench::xml {
 
+/// Maximum element nesting the parser accepts (and the node-image decoder
+/// enforces). Deeper documents (the fuzz corpus contains a 100k-deep
+/// `<a><a>...` chain) would otherwise exhaust the native stack in the
+/// recursive readers — a crash, not a Status error.
+inline constexpr int kMaxElementDepth = 256;
+
 struct ParseOptions {
   /// When true, text nodes consisting only of whitespace between elements
   /// are dropped (typical for data-centric documents serialized with

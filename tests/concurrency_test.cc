@@ -6,6 +6,7 @@
 // (tools/sanitize_smoke.sh with XBENCH_SANITIZE=thread).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "harness/throughput.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
+#include "workload/queries.h"
 #include "workload/runner.h"
 #include "workload/session.h"
 
@@ -40,6 +42,20 @@ datagen::GeneratedDatabase SmallDb(DbClass cls, uint64_t seed = 42,
   config.target_bytes = bytes;
   config.seed = seed;
   return datagen::Generate(cls, config);
+}
+
+// Checks that `id` has a binding for `cls`. Every Session.Run loop below
+// asserts it first: an undefined query returns Unsupported on every run,
+// so a loop over it either fails for the wrong reason or, when the
+// failures are tolerated, passes without exercising anything.
+::testing::AssertionResult QueryDefinedFor(
+    QueryId id, DbClass cls, const workload::QueryParams& params) {
+  if (!workload::XQueryFor(id, cls, params).empty()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << workload::QueryName(id) << " is not defined for "
+         << datagen::DbClassName(cls);
 }
 
 TEST(ConcurrentStorage, ShardedPoolKeepsDisjointPagesIntact) {
@@ -162,6 +178,7 @@ TEST(ConcurrentSessions, AnswersMatchSerialBaselineOnEveryEngine) {
     std::vector<uint64_t> expected;
     workload::Session baseline(*engine, db.db_class, params, "serial");
     for (QueryId id : candidates) {
+      ASSERT_TRUE(QueryDefinedFor(id, db.db_class, params));
       workload::ExecutionResult result = baseline.Run(id, warm);
       if (result.status.code() == StatusCode::kUnsupported) continue;
       ASSERT_TRUE(result.status.ok())
@@ -211,6 +228,7 @@ TEST(ConcurrentSessions, RacingCompilersShareOnePlanCacheEntry) {
   workload::RunOptions warm;
   warm.cold = false;
   constexpr int kThreads = 8;
+  ASSERT_TRUE(QueryDefinedFor(QueryId::kQ5, db.db_class, params));
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   // All threads compile the same statement at once; the cache must end up
@@ -235,6 +253,7 @@ TEST(ConcurrentSessions, MutationsSerializeAgainstInFlightStatements) {
       workload::DeriveParams(db.db_class, db.seeds);
   workload::RunOptions warm;
   warm.cold = false;
+  ASSERT_TRUE(QueryDefinedFor(QueryId::kQ17, db.db_class, params));
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread writer([&] {
@@ -292,6 +311,9 @@ TEST(ConcurrentSessions, IndexMaintenanceUnderMutationStaysConsistent) {
   workload::RunOptions probe;
   probe.cold = false;
   probe.compile.access_path.mode = xquery::plan::AccessPathMode::kForceIndex;
+  for (QueryId id : {QueryId::kQ5, QueryId::kQ17}) {
+    ASSERT_TRUE(QueryDefinedFor(id, db.db_class, params));
+  }
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::thread writer([&] {
@@ -439,21 +461,50 @@ TEST(ConcurrentSessions, ColdRestartContractHoldsUnderRacingSessions) {
     ASSERT_TRUE(workload::BulkLoad(*engine, db).status.ok());
     const workload::QueryParams params =
         workload::DeriveParams(db.db_class, db.seeds);
+    ASSERT_TRUE(QueryDefinedFor(QueryId::kQ17, db.db_class, params));
     workload::RunOptions warm;
     warm.cold = false;
+    // Each reader runs one statement per restart epoch, so every epoch
+    // starts with the readers racing to materialize the just-dropped
+    // documents while the next restart queues for the exclusive lock (a
+    // reader looping back-to-back would keep the shared lock held and
+    // starve the restarter). The restarter goes on until the readers have
+    // completed kMinOverlappingRuns statements before its last restart;
+    // the deadline only bounds a run whose readers keep failing.
+    constexpr int kMinRestarts = 8;
+    constexpr int kMinOverlappingRuns = 12;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
     std::atomic<bool> stop{false};
+    std::atomic<int> restarts{0};
     std::atomic<int> failures{0};
+    std::atomic<int> overlapping{0};
     std::thread restarter([&] {
-      for (int i = 0; i < 8; ++i) engine->ColdRestart();
+      while ((restarts.load() < kMinRestarts ||
+              overlapping.load() < kMinOverlappingRuns) &&
+             failures.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        engine->ColdRestart();
+        restarts.fetch_add(1);
+        std::this_thread::yield();
+      }
       stop.store(true);
     });
     std::vector<std::thread> readers;
     for (int r = 0; r < 3; ++r) {
       readers.emplace_back([&] {
         workload::Session session(*engine, db.db_class, params);
+        int epoch = 0;
         while (!stop.load()) {
-          if (!session.Run(QueryId::kQ1, warm).status.ok()) {
+          if (restarts.load() == epoch) {
+            std::this_thread::yield();
+            continue;
+          }
+          epoch = restarts.load();
+          if (!session.Run(QueryId::kQ17, warm).status.ok()) {
             failures.fetch_add(1);
+          } else if (!stop.load()) {
+            overlapping.fetch_add(1);
           }
         }
       });
@@ -461,6 +512,8 @@ TEST(ConcurrentSessions, ColdRestartContractHoldsUnderRacingSessions) {
     restarter.join();
     for (std::thread& t : readers) t.join();
     EXPECT_EQ(failures.load(), 0) << engines::EngineKindName(kind);
+    EXPECT_GE(overlapping.load(), kMinOverlappingRuns)
+        << engines::EngineKindName(kind);
   }
   // Enforcement was actually live: the sessions' acquisitions were
   // tracked (and none violated, or we would not be here).

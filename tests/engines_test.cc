@@ -6,7 +6,10 @@
 #include "engines/shred_engine.h"
 #include "engines/shredder.h"
 #include "datagen/article_generator.h"
+#include "storage/page.h"
+#include "workload/classes.h"
 #include "workload/runner.h"
+#include "xml/node_image.h"
 #include "xml/parser.h"
 
 namespace xbench::engines {
@@ -145,6 +148,104 @@ TEST(NativeEngineTest, IndexDdlListsDropsAndSurvivesColdRestart) {
   EXPECT_EQ(infos[1].name, "words");
   for (const IndexInfo& info : infos) {
     EXPECT_GT(info.entries, 0u) << info.name;
+  }
+}
+
+TEST(NativeEngineTest, EveryPostingResolvesToItsNodeAcrossColdRestart) {
+  for (DbClass cls : {DbClass::kTcSd, DbClass::kTcMd, DbClass::kDcSd,
+                      DbClass::kDcMd}) {
+    NativeEngine engine;
+    auto db = SmallDb(cls, 48 * 1024);
+    ASSERT_TRUE(
+        engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
+    std::vector<IndexSpec> specs = workload::Table3Indexes(cls);
+    IndexSpec path;
+    path.name = "paths";
+    path.kind = IndexKind::kPath;
+    IndexSpec text;
+    text.name = "words";
+    text.kind = IndexKind::kText;
+    specs.push_back(path);
+    specs.push_back(text);
+    for (const IndexSpec& spec : specs) {
+      ASSERT_TRUE(engine.CreateIndex(spec).ok()) << spec.name;
+    }
+    uint64_t entries = 0;
+    for (const IndexInfo& info : engine.ListIndexes()) entries += info.entries;
+
+    // Reference trees parsed straight from the generated text; posting
+    // ordinals are load positions.
+    std::vector<xml::Document> reference;
+    std::vector<std::vector<const xml::Node*>> by_order(db.documents.size());
+    for (size_t i = 0; i < db.documents.size(); ++i) {
+      auto doc = xml::Parse(db.documents[i].text, db.documents[i].name);
+      ASSERT_TRUE(doc.ok());
+      reference.push_back(std::move(doc).value());
+      by_order[i].assign(reference[i].NodeCount() + 1, nullptr);
+      reference[i].root()->Visit(
+          [&](const xml::Node& node) { by_order[i][node.order()] = &node; });
+    }
+    // CreateIndex ends in a cold restart, so the first pass materializes
+    // every document from its image, the second pass again after one more.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) engine.ColdRestart();
+      uint64_t visited = 0;
+      engine.ForEachPosting([&](uint64_t rid, const xml::Node* node) {
+        ++visited;
+        const size_t ordinal = RidOrdinal(rid);
+        const uint32_t order = RidOrder(rid);
+        ASSERT_NE(node, nullptr) << "unresolved posting " << rid;
+        ASSERT_LT(ordinal, by_order.size());
+        ASSERT_LT(order, by_order[ordinal].size());
+        EXPECT_EQ(node->order(), order);
+        EXPECT_TRUE(node->StructurallyEquals(*by_order[ordinal][order]))
+            << datagen::DbClassName(cls) << " posting " << rid;
+      });
+      EXPECT_EQ(visited, entries) << datagen::DbClassName(cls);
+      EXPECT_GT(visited, 0u);
+    }
+  }
+}
+
+TEST(NativeEngineTest, CorruptStoredImageFailsQueriesWithCorruption) {
+  enum class Damage { kTruncate, kFlipVersion, kFlipNodeCount };
+  for (Damage damage :
+       {Damage::kTruncate, Damage::kFlipVersion, Damage::kFlipNodeCount}) {
+    NativeEngine engine;
+    auto db = SmallDb(DbClass::kTcMd);
+    ASSERT_TRUE(
+        engine.BulkLoad(db.db_class, workload::ToLoadDocuments(db)).ok());
+    ASSERT_TRUE(engine.Query("count($input)").ok());
+    engine.ColdRestart();
+    // The first document's record opens the heap file's first page:
+    // [u32 length][image].
+    storage::Page page;
+    engine.disk().ReadPage(0, page);
+    uint32_t length = 0;
+    page.Read(0, &length, sizeof(length));
+    auto first = xml::Parse(db.documents[0].text, db.documents[0].name);
+    ASSERT_TRUE(first.ok());
+    const std::string image = xml::EncodeImage(*first->root());
+    ASSERT_EQ(length, image.size());
+    ASSERT_EQ(page.bytes[sizeof(length)], xml::kNodeImageVersion);
+    switch (damage) {
+      case Damage::kTruncate:
+        length /= 2;
+        page.Write(0, &length, sizeof(length));
+        break;
+      case Damage::kFlipVersion:
+        page.bytes[sizeof(length)] ^= 0x10;
+        break;
+      case Damage::kFlipNodeCount:
+        // Any other count disagrees with the records that follow.
+        page.bytes[sizeof(length) + 1] ^= 0x01;
+        break;
+    }
+    engine.disk().WritePage(0, page);
+    auto result = engine.Query("count($input)");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << result.status().ToString();
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/strings.h"
 #include "relational/btree.h"
 #include "relational/exec.h"
 #include "relational/schema.h"
@@ -149,7 +150,7 @@ TEST(BTreeTest, UnboundedRangeVisitsAll) {
   VirtualClock clock;
   BTreeIndex tree(clock);
   for (int i = 0; i < 300; ++i) {
-    tree.Insert({Value::String("k" + std::to_string(i))}, i);
+    tree.Insert({Value::String(StrCat("k", std::to_string(i)))}, i);
   }
   size_t count = 0;
   tree.Range(nullptr, nullptr, [&](const Key&, storage::RecordId) {
@@ -217,9 +218,9 @@ TEST_F(TableFixture, IndexMaintainedOnInsert) {
   Table* table = *db.CreateTable("t", TestSchema());
   ASSERT_TRUE(table->CreateIndex("by_name", {"name"}).ok());
   for (int i = 0; i < 50; ++i) {
+    const std::string name = StrCat("n", std::to_string(i % 10));
     ASSERT_TRUE(table
-                    ->Insert({Value::Int(i),
-                              Value::String("n" + std::to_string(i % 10)),
+                    ->Insert({Value::Int(i), Value::String(name),
                               Value::Double(0)})
                     .ok());
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "datagen/generator.h"
 #include "xml/node.h"
+#include "xml/node_image.h"
 #include "xml/parser.h"
 #include "xml/schema_summary.h"
 #include "xml/serializer.h"
@@ -329,6 +331,163 @@ TEST(ParserHardeningTest, CheckWellFormedAgreesWithParseOnHardInputs) {
     EXPECT_EQ(Parse(input, "t.xml").ok(), CheckWellFormed(input).ok())
         << input;
   }
+}
+
+// --- Node image ------------------------------------------------------------
+
+std::string Nested(int depth) {
+  std::string open, close;
+  for (int i = 0; i < depth; ++i) {
+    open += "<a>";
+    close += "</a>";
+  }
+  return open + "x" + close;
+}
+
+// Decodes `doc`'s image and checks it rebuilds the same tree: equal
+// structure and serialization, the same pre-order ids, consistent parent
+// links, and an order -> node table covering every node.
+void ExpectImageRoundTrip(const Document& doc) {
+  const std::string image = EncodeImage(*doc.root());
+  std::vector<const Node*> by_order;
+  auto decoded = DecodeImage(image, doc.name(), &by_order);
+  ASSERT_TRUE(decoded.ok()) << doc.name() << ": " << decoded.status().ToString();
+  EXPECT_EQ(decoded->name(), doc.name());
+  ASSERT_TRUE(decoded->root()->StructurallyEquals(*doc.root())) << doc.name();
+  EXPECT_EQ(Serialize(*decoded), Serialize(doc)) << doc.name();
+  std::vector<uint32_t> want;
+  doc.root()->Visit([&](const Node& node) { want.push_back(node.order()); });
+  std::vector<uint32_t> got;
+  EXPECT_EQ(decoded->root()->parent(), nullptr);
+  decoded->root()->Visit([&](const Node& node) {
+    got.push_back(node.order());
+    for (const auto& child : node.children()) {
+      EXPECT_EQ(child->parent(), &node);
+    }
+  });
+  EXPECT_EQ(got, want) << doc.name();
+  ASSERT_EQ(by_order.size(), doc.NodeCount() + 1) << doc.name();
+  EXPECT_EQ(by_order[0], nullptr);
+  decoded->root()->Visit(
+      [&](const Node& node) { EXPECT_EQ(by_order[node.order()], &node); });
+}
+
+TEST(NodeImageTest, RoundTripsEveryClassAtSmallScale) {
+  datagen::GenConfig config;
+  config.target_bytes = 48 << 10;
+  config.seed = 42;
+  for (datagen::DbClass cls :
+       {datagen::DbClass::kTcSd, datagen::DbClass::kTcMd,
+        datagen::DbClass::kDcSd, datagen::DbClass::kDcMd}) {
+    const datagen::GeneratedDatabase db = datagen::Generate(cls, config);
+    ASSERT_FALSE(db.documents.empty());
+    size_t text_bytes = 0;
+    size_t image_bytes = 0;
+    for (const auto& generated : db.documents) {
+      auto doc = Parse(generated.text, generated.name);
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      ExpectImageRoundTrip(*doc);
+      text_bytes += generated.text.size();
+      image_bytes += EncodeImage(*doc->root()).size();
+    }
+    // The image drops markup and entity syntax, so it is never larger than
+    // the text it replaces.
+    EXPECT_LT(image_bytes, text_bytes) << datagen::DbClassName(cls);
+  }
+}
+
+TEST(NodeImageTest, RoundTripsHandWrittenDocuments) {
+  const std::pair<const char*, std::string> cases[] = {
+      {"attributes.xml", R"(<r id="1" lang='en'><c k="v" e=""/></r>)"},
+      {"entities.xml", "<r a=\"&lt;&amp;&quot;\">&lt;x&gt; &amp; &#233;"
+                       "&#x4E2D;&apos;</r>"},
+      {"cdata.xml", "<r><![CDATA[<not> & markup]]> tail</r>"},
+      {"mixed.xml", "<p>one <b>two</b> three <i>four</i><br/>five</p>"},
+      {"empty.xml", "<r><e/><e></e><f a=\"\"/></r>"},
+      {"whitespace.xml", "<r><a>   </a><b>\n\t</b> <c/> </r>"},
+      {"deep.xml", Nested(kMaxElementDepth)},
+      {"long_text.xml", "<r>" + std::string(300, 'y') + "</r>"},
+  };
+  for (const auto& [name, text] : cases) {
+    for (bool strip : {true, false}) {
+      ParseOptions options;
+      options.strip_insignificant_whitespace = strip;
+      auto doc = Parse(text, name, options);
+      ASSERT_TRUE(doc.ok()) << name << ": " << doc.status().ToString();
+      ExpectImageRoundTrip(*doc);
+    }
+  }
+}
+
+TEST(NodeImageTest, RejectsNestingBeyondTheParserLimit) {
+  auto root = Node::Element("a");
+  Node* leaf = root.get();
+  for (int i = 1; i <= kMaxElementDepth; ++i) leaf = leaf->AddElement("a");
+  auto decoded = DecodeImage(EncodeImage(*root), "deep.xml");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(decoded.status().message().find("nesting"), std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(NodeImageTest, RejectsEveryTruncation) {
+  auto doc = Parse(R"(<r id="7"><a>text</a><b x="y"/>tail</r>)", "t.xml");
+  ASSERT_TRUE(doc.ok());
+  const std::string image = EncodeImage(*doc->root());
+  for (size_t size = 0; size < image.size(); ++size) {
+    std::vector<const Node*> by_order;
+    auto decoded = DecodeImage(image.substr(0, size), "t.xml", &by_order);
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << size << " bytes";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_TRUE(by_order.empty());
+  }
+  EXPECT_FALSE(DecodeImage(image + "!", "t.xml").ok());
+}
+
+TEST(NodeImageTest, BitFlipsDecodeOrFailCleanly) {
+  auto doc = Parse(R"(<r id="7"><a>text</a><b x="y"/>tail</r>)", "t.xml");
+  ASSERT_TRUE(doc.ok());
+  const std::string image = EncodeImage(*doc->root());
+  size_t rejected = 0;
+  for (size_t byte = 0; byte < image.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = image;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      auto decoded = DecodeImage(flipped, "t.xml");
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+        ++rejected;
+        continue;
+      }
+      // A flip inside a string still yields a well-formed tree, which
+      // must survive another round trip.
+      ExpectImageRoundTrip(*decoded);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(NodeImageTest, RejectsCountsLargerThanTheImage) {
+  // Version 1, one node, one name "a", then an element whose attribute
+  // count claims 2^32 - 1 entries: rejected before anything is reserved.
+  const std::string huge_attrs("\x01\x01\x01\x01" "a" "\x00\x00"
+                               "\xff\xff\xff\xff\x0f", 12);
+  EXPECT_EQ(DecodeImage(huge_attrs, "t.xml").status().code(),
+            StatusCode::kCorruption);
+  // Element name id 5 with a one-entry name table.
+  const std::string bad_id("\x01\x01\x01\x01" "a" "\x00\x05\x00\x00", 9);
+  EXPECT_EQ(DecodeImage(bad_id, "t.xml").status().code(),
+            StatusCode::kCorruption);
+  // Wrong version byte.
+  const std::string bad_version("\x02\x01\x01\x01" "a" "\x00\x00\x00\x00", 9);
+  EXPECT_EQ(DecodeImage(bad_version, "t.xml").status().code(),
+            StatusCode::kCorruption);
+  // The same bytes with the right version decode to <a/>.
+  std::string good = bad_version;
+  good[0] = static_cast<char>(kNodeImageVersion);
+  auto decoded = DecodeImage(good, "t.xml");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(Serialize(*decoded), "<a/>");
 }
 
 }  // namespace

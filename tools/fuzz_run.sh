@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Time-boxed fuzzing session over the four harnesses. Splits the wall
+# Time-boxed fuzzing session over the five harnesses. Splits the wall
 # budget evenly across the harnesses and keeps running seeded mutation
 # rounds (seed advances each round, so a longer box explores more) until
 # the budget expires. A crashing input is left in the driver's
@@ -12,7 +12,7 @@
 # checked-in corpus.
 #
 # Usage: tools/fuzz_run.sh [-t total-seconds] [-b build-dir] [harness...]
-#   harness: any of xml_parser dtd xquery json (default: all four)
+#   harness: any of xml_parser dtd xquery json node_image (default: all five)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,11 +28,12 @@ done
 shift $((OPTIND - 1))
 
 HARNESSES=("$@")
-[ "${#HARNESSES[@]}" -eq 0 ] && HARNESSES=(xml_parser dtd xquery json)
+[ "${#HARNESSES[@]}" -eq 0 ] && HARNESSES=(xml_parser dtd xquery json node_image)
 
 kind_dir() {
   case "$1" in
     xml_parser) echo xml ;;
+    node_image) echo image ;;
     *) echo "$1" ;;
   esac
 }

@@ -59,7 +59,8 @@ fi
 cmake --build "$BUILD" -j"$(nproc)" \
       --target core_tests xquery_tests plan_tests system_tests xqlint \
       bench_query json_check \
-      fuzz_xml_parser fuzz_dtd fuzz_xquery fuzz_json plan_differential_fuzz
+      fuzz_xml_parser fuzz_dtd fuzz_xquery fuzz_json fuzz_node_image \
+      plan_differential_fuzz
 
 "$BUILD/tests/core_tests"
 "$BUILD/tests/xquery_tests"
@@ -84,13 +85,14 @@ XBENCH_REPORT="$BUILD/asan_query_report.json" \
 "$BUILD/tools/json_check" --schema report "$BUILD/asan_query_report.json"
 "$BUILD/tools/json_check" --schema trace "$BUILD/asan_query_trace.json"
 
-# Fuzz corpus + regression inputs replayed through all four harnesses
+# Fuzz corpus + regression inputs replayed through all five harnesses
 # under the sanitizer, then a short deterministic mutation loop in each
 # (fixed seed — two runs execute byte-identical inputs).
 XBENCH_FUZZ_ITERS="${XBENCH_FUZZ_ITERS:-200}" "$ROOT/fuzz/run_smoke.sh" \
   "$ROOT/fuzz/corpus" "$ROOT/fuzz/regressions" \
   "$BUILD/fuzz/fuzz_xml_parser" "$BUILD/fuzz/fuzz_dtd" \
-  "$BUILD/fuzz/fuzz_xquery" "$BUILD/fuzz/fuzz_json"
+  "$BUILD/fuzz/fuzz_xquery" "$BUILD/fuzz/fuzz_json" \
+  "$BUILD/fuzz/fuzz_node_image"
 
 # Differential oracle sanitized: generated queries through interpreter,
 # unguided plan, guided plan and the CLOB engine.

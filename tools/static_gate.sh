@@ -18,7 +18,7 @@
 #      traces its throughput sweep and schema-checks the trace.
 #   5. An ASan+UBSan (-fno-sanitize-recover=all) build of the fuzz
 #      harnesses + differential oracle: the checked-in corpus and every
-#      regression input replay through all four harnesses, a seeded
+#      regression input replay through all five harnesses, a seeded
 #      mutation round runs on top, and the generated-query oracle
 #      cross-checks interpreter vs compiled plans vs CLOB per class,
 #      cycling index availability (none / Table 3 / Table 3 + text) so
@@ -30,6 +30,10 @@
 #   7. The repo-convention linter (tools/xbench_lint): raw std::mutex
 #      use, DESIGN.md §9 <-> LockRank table drift, unregistered
 #      xbench.* metric names, stale [[deprecated]] shims.
+#   8. An optimized Release (-O3) build of every target under the
+#      repo-wide -Werror, the configuration performance numbers should
+#      come from (GCC's -O3-only diagnostics such as -Wrestrict fire
+#      nowhere else).
 #
 # Steps whose tool is not installed are skipped with a notice so the gate
 # degrades on minimal images; set XBENCH_STATIC_GATE_STRICT=1 to turn a
@@ -51,7 +55,7 @@ skip() {
 }
 
 # --- 1. Clang thread-safety build -------------------------------------
-echo "static gate: [1/7] clang -Wthread-safety build"
+echo "static gate: [1/8] clang -Wthread-safety build"
 if grep -RIn "NO_THREAD_SAFETY_ANALYSIS" "$ROOT/src" \
     | grep -v "common/thread_annotations.h" \
     | grep -v "XBENCH_THREAD_ANNOTATION__"; then
@@ -68,7 +72,7 @@ else
 fi
 
 # --- 2. clang-tidy ----------------------------------------------------
-echo "static gate: [2/7] clang-tidy"
+echo "static gate: [2/8] clang-tidy"
 if command -v clang-tidy > /dev/null; then
   cmake -B "$PREFIX-lint" -S "$ROOT"
   cmake --build "$PREFIX-lint" --target lint
@@ -77,7 +81,7 @@ else
 fi
 
 # --- 3. xqlint analysis gate + profiled-query artifacts ---------------
-echo "static gate: [3/7] xqlint --class all --query all + profiled query"
+echo "static gate: [3/8] xqlint --class all --query all + profiled query"
 cmake -B "$PREFIX-host" -S "$ROOT"
 cmake --build "$PREFIX-host" -j"$(nproc)" \
       --target xqlint bench_query json_check
@@ -96,28 +100,29 @@ XBENCH_REPORT="$PREFIX-host/gate_query_report.json" \
   "$PREFIX-host/gate_query_trace.json"
 
 # --- 4. TSAN smoke with lock ranks ------------------------------------
-echo "static gate: [4/7] tsan smoke (XBENCH_LOCK_RANKS=ON)"
+echo "static gate: [4/8] tsan smoke (XBENCH_LOCK_RANKS=ON)"
 XBENCH_SANITIZE=thread "$ROOT/tools/sanitize_smoke.sh" "$PREFIX-tsan"
 
 # --- 5. ASan+UBSan fuzz replay + differential oracle -------------------
-echo "static gate: [5/7] fuzz corpus replay + differential oracle" \
+echo "static gate: [5/8] fuzz corpus replay + differential oracle" \
      "(address;undefined)"
 cmake -B "$PREFIX-fuzz" -S "$ROOT" -DXBENCH_SANITIZE="address;undefined" \
       -DXBENCH_LOCK_RANKS=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$PREFIX-fuzz" -j"$(nproc)" \
       --target fuzz_xml_parser fuzz_dtd fuzz_xquery fuzz_json \
-      plan_differential_fuzz
+      fuzz_node_image plan_differential_fuzz
 XBENCH_FUZZ_ITERS="${XBENCH_FUZZ_ITERS:-500}" "$ROOT/fuzz/run_smoke.sh" \
   "$ROOT/fuzz/corpus" "$ROOT/fuzz/regressions" \
   "$PREFIX-fuzz/fuzz/fuzz_xml_parser" "$PREFIX-fuzz/fuzz/fuzz_dtd" \
-  "$PREFIX-fuzz/fuzz/fuzz_xquery" "$PREFIX-fuzz/fuzz/fuzz_json"
+  "$PREFIX-fuzz/fuzz/fuzz_xquery" "$PREFIX-fuzz/fuzz/fuzz_json" \
+  "$PREFIX-fuzz/fuzz/fuzz_node_image"
 for class in tcsd tcmd dcsd dcmd; do
   "$PREFIX-fuzz/tools/plan_differential_fuzz" --class "$class" \
     --iters "${XBENCH_FUZZ_ITERS:-500}" --seed 42
 done
 
 # --- 6. Plan-verifier sweep against the pinned golden ------------------
-echo "static gate: [6/7] xqlint --verify sweep"
+echo "static gate: [6/8] xqlint --verify sweep"
 "$PREFIX-host/tools/xqlint" --verify --class all --query all \
   > "$PREFIX-host/gate_verify_sweep.txt"
 if ! cmp -s "$ROOT/tools/golden/xqlint_verify.txt" \
@@ -128,8 +133,13 @@ if ! cmp -s "$ROOT/tools/golden/xqlint_verify.txt" \
 fi
 
 # --- 7. Repo-convention linter -----------------------------------------
-echo "static gate: [7/7] xbench_lint"
+echo "static gate: [7/8] xbench_lint"
 cmake --build "$PREFIX-host" -j"$(nproc)" --target xbench_lint
 "$PREFIX-host/tools/xbench_lint" --repo-root "$ROOT"
+
+# --- 8. Optimized Release build ------------------------------------------
+echo "static gate: [8/8] Release build (-O3, -Werror)"
+cmake -B "$PREFIX-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PREFIX-release" -j"$(nproc)"
 
 echo "static gate: OK"
