@@ -6,8 +6,9 @@
 //
 // Usage: bench_query [--query Q1..Q20] [--profile] [--parallelism 1,2,4]
 //   --parallelism runs the intra-query parallelism sweep instead of the
-//   paper tables: each query executes once per listed bound on the native
-//   engine and the modeled execution time per bound is reported
+//   paper tables: each query executes on the native engine at every
+//   listed bound and the measured execution wall time per bound (best of
+//   3) is reported; an answer that differs across bounds exits 1
 //   (XBENCH_REPORT=<path> writes the JSON artifact).
 #include <cstdio>
 #include <cstdlib>

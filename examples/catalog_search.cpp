@@ -59,9 +59,10 @@ int main() {
                     result.status.ToString().c_str());
         continue;
       }
-      std::printf("  %-18s %4zu results in %6.1f ms (%.1f CPU + %.1f I/O)\n",
+      std::printf("  %-18s %4zu results in %6.1f ms "
+                  "(%.1f wall + %.1f virtual I/O)\n",
                   engine->name().c_str(), result.lines.size(),
-                  result.TotalMillis(), result.cpu_millis, result.io_millis);
+                  result.TotalMillis(), result.wall_millis, result.io_millis);
       if (!result.lines.empty()) {
         std::printf("    first: %.70s\n", result.lines[0].c_str());
       }

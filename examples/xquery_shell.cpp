@@ -107,10 +107,10 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       continue;
     }
-    const double cpu = watch.ElapsedMillis();
+    const double wall = watch.ElapsedMillis();
     std::fputs(result->ToText().c_str(), stdout);
-    std::printf("-- %zu item(s), %.1f ms CPU + %.1f ms I/O (cold)\n",
-                result->items.size(), cpu, engine.IoMillis() - io0);
+    std::printf("-- %zu item(s), %.1f ms wall + %.1f ms virtual I/O (cold)\n",
+                result->items.size(), wall, engine.IoMillis() - io0);
   }
   return 0;
 }

@@ -13,28 +13,6 @@
 
 namespace xbench {
 
-/// Accounting for one ParallelFor region, used by the exec layer to model
-/// what intra-query parallelism buys on hardware with fewer cores than
-/// lanes (the same convention as the throughput driver's thread-CPU
-/// makespan model: measure real per-morsel CPU, schedule it onto ideal
-/// lanes).
-struct ParallelRunStats {
-  /// Lanes the region was scheduled onto (caller + workers actually
-  /// eligible; <= the requested parallelism).
-  int parallelism = 1;
-  /// Morsels (index chunks) executed.
-  size_t morsels = 0;
-  /// Σ thread-CPU over every morsel, all lanes.
-  double busy_millis = 0;
-  /// Thread-CPU of the morsels the calling thread itself ran (subset of
-  /// busy_millis; already contained in any caller-side CPU measurement).
-  double caller_busy_millis = 0;
-  /// Makespan of greedy list-scheduling the measured morsel CPU times
-  /// onto `parallelism` ideal lanes — the modeled wall time of the region
-  /// on a machine with that many free cores.
-  double modeled_millis = 0;
-};
-
 /// Fixed-size shared worker pool for morsel-driven intra-query
 /// parallelism (DESIGN.md §12). One process-wide pool (Default()) is
 /// shared by every concurrently executing query: ParallelFor callers
@@ -58,8 +36,7 @@ struct ParallelRunStats {
 class WorkerPool {
  public:
   /// The process-wide pool. Thread count is hardware_concurrency clamped
-  /// to [2, 16], overridable with the XBENCH_EXEC_WORKERS environment
-  /// variable; the instance leaks by design (workers live for the
+  /// to [3, 16]; the instance leaks by design (workers live for the
   /// process, same pattern as MetricsRegistry).
   static WorkerPool& Default();
 
@@ -76,20 +53,19 @@ class WorkerPool {
   /// finished. Indexes are grabbed in ascending chunks, so low indexes
   /// always start no later than high ones. On errors the non-OK Status
   /// of the lowest failing index is returned (deterministic regardless
-  /// of interleaving) and remaining morsels are cancelled. `stats`, when
-  /// non-null, receives the region's timing model.
+  /// of interleaving) and remaining morsels are cancelled. `morsels`,
+  /// when non-null, receives the number of morsels that ran.
   Status ParallelFor(size_t total, int parallelism,
                      const std::function<Status(size_t)>& fn,
-                     ParallelRunStats* stats = nullptr);
+                     size_t* morsels = nullptr);
 
  private:
   struct Region;
 
   void WorkerMain();
   /// Runs morsels of `region` until its cursor is exhausted (or an error
-  /// cancelled it). `caller` marks the region-owning thread (its CPU is
-  /// tracked separately for the timing model).
-  static void DrainRegion(Region& region, bool caller);
+  /// cancelled it).
+  static void DrainRegion(Region& region);
 
   Mutex mu_{LockRank::kWorkerPool, "worker.pool"};
   std::condition_variable_any work_cv_;

@@ -41,7 +41,7 @@ Driver::LoadedEngine& Driver::Loaded(engines::EngineKind kind,
   const datagen::GeneratedDatabase& db = Database(db_class, scale);
   workload::TimedStatus timed = workload::BulkLoad(*loaded.engine, db);
   loaded.load_status = timed.status;
-  loaded.load_cpu_millis = timed.cpu_millis;
+  loaded.load_wall_millis = timed.wall_millis;
   loaded.load_io_millis = timed.io_millis;
   loaded.load_io = timed.io;
   if (loaded.load_status.ok()) {
@@ -174,7 +174,7 @@ std::string Driver::JsonReport(const ReportOptions& options) {
         writer.Key("load").BeginObject();
         writer.Key("supported").Bool(loaded.load_status.ok());
         if (loaded.load_status.ok()) {
-          writer.Key("cpu_millis").Number(loaded.load_cpu_millis);
+          writer.Key("wall_millis").Number(loaded.load_wall_millis);
           writer.Key("io_millis").Number(loaded.load_io_millis);
           WriteIoStats(writer, loaded.load_io);
         } else {
@@ -190,15 +190,12 @@ std::string Driver::JsonReport(const ReportOptions& options) {
           for (QueryId id : queries) {
             workload::RunOptions run_options;
             run_options.profile = options.profile;
-            run_options.compile.parallelism.max_intra =
-                options.max_intra_parallelism;
-            run_options.compile.access_path = options.access_path;
             workload::ExecutionResult result = session.Run(id, run_options);
             writer.BeginObject();
             writer.Key("query").String(workload::QueryName(id));
             writer.Key("supported").Bool(result.status.ok());
             if (result.status.ok()) {
-              writer.Key("cpu_millis").Number(result.cpu_millis);
+              writer.Key("wall_millis").Number(result.wall_millis);
               writer.Key("io_millis").Number(result.io_millis);
               const std::vector<std::string> canonical =
                   workload::CanonicalizeAnswer(id, result.lines);
@@ -226,25 +223,6 @@ std::string Driver::JsonReport(const ReportOptions& options) {
                 writer.Key("compiled").Bool(true);
                 writer.Key("cache_hit").Bool(result.plan_cache_hit);
                 writer.Key("access_path").String(result.access_path);
-                writer.Key("max_parallelism")
-                    .Uint(static_cast<uint64_t>(
-                        plan_stats.max_parallelism > 0
-                            ? plan_stats.max_parallelism
-                            : 1));
-                if (plan_stats.max_parallelism > 1) {
-                  uint64_t morsels = 0;
-                  for (const xquery::exec::OperatorStats& op :
-                       plan_stats.operators) {
-                    morsels += op.morsels;
-                  }
-                  writer.Key("morsels").Uint(morsels);
-                  writer.Key("parallel_busy_millis")
-                      .Number(plan_stats.parallel_busy_millis);
-                  writer.Key("parallel_modeled_millis")
-                      .Number(plan_stats.parallel_modeled_millis);
-                  writer.Key("modeled_total_millis")
-                      .Number(plan_stats.modeled_total_millis);
-                }
                 writer.Key("operators").BeginArray();
                 for (const xquery::exec::OperatorStats& op :
                      plan_stats.operators) {

@@ -29,12 +29,14 @@ class Driver {
   struct LoadedEngine {
     std::unique_ptr<engines::XmlDbms> engine;
     Status load_status;
-    double load_cpu_millis = 0;
+    /// Measured wall time of the bulk load.
+    double load_wall_millis = 0;
+    /// Modelled virtual disk time of the bulk load.
     double load_io_millis = 0;
     /// Pool/disk traffic attributed to the bulk load + index build.
     workload::IoStats load_io;
 
-    double LoadMillis() const { return load_cpu_millis + load_io_millis; }
+    double LoadMillis() const { return load_wall_millis + load_io_millis; }
   };
 
   /// Engine `kind` loaded with (class, scale) + Table 3 indexes; cached.
@@ -59,15 +61,6 @@ class Driver {
     /// "profile" object (phase timings) plus per-operator depth/self
     /// times in the plan section.
     bool profile = false;
-    /// Intra-query parallelism bound for every query run, threaded into
-    /// RunOptions::compile.parallelism.max_intra (native compiled path);
-    /// surfaced in the report's plan section.
-    int max_intra_parallelism = 1;
-    /// Access-path policy for every query run (native compiled path).
-    /// The default kAuto lets the cost model choose among guided walks,
-    /// full scans, and index probes; the chosen path lands in each
-    /// query's plan section as "access_path".
-    xquery::plan::AccessPathPolicy access_path;
   };
 
   /// Machine-readable run report (BENCH_RESULTS-style): one cell per

@@ -106,7 +106,7 @@ TimedStatus BulkLoad(engines::XmlDbms& engine,
   const double io_millis_before = ThreadIoMillis();
   Stopwatch watch;
   timed.status = engine.BulkLoad(db.db_class, ToLoadDocuments(db));
-  timed.cpu_millis = watch.ElapsedMillis();
+  timed.wall_millis = watch.ElapsedMillis();
   timed.io_millis = ThreadIoMillis() - io_millis_before;
   timed.io = IoStatsDelta(io_before, ThreadIoSnapshot());
   if (timed.status.ok() && engine.kind() == EngineKind::kNative) {

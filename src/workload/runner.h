@@ -56,19 +56,18 @@ double ThreadIoMillis();
 IoStats IoStatsDelta(const IoStats& before, const IoStats& after);
 
 /// Common outcome of one measured engine operation (a bulk load, a query
-/// execution): status plus the cpu/io time split and the I/O attributed
-/// to the operation.
+/// execution): status plus the measured/modelled time split and the I/O
+/// attributed to the operation.
 struct OpOutcome {
   Status status;
-  /// CPU time spent by the operation (wall time by default; thread CPU
-  /// time when the operation ran with RunOptions::thread_time).
-  double cpu_millis = 0;
-  /// Simulated disk time charged during the operation.
+  /// Measured steady-clock wall time of the operation.
+  double wall_millis = 0;
+  /// Modelled simulated-disk time charged during the operation.
   double io_millis = 0;
   /// Pool/disk traffic attributed to the operation.
   IoStats io;
 
-  double TotalMillis() const { return cpu_millis + io_millis; }
+  double TotalMillis() const { return wall_millis + io_millis; }
 };
 
 /// Load outcomes carry nothing beyond the common fields.
@@ -97,10 +96,6 @@ struct RunOptions {
   /// Copy the run's per-operator counters into ExecutionResult::plan_stats
   /// (native compiled path).
   bool collect_plan_stats = true;
-  /// Measure cpu_millis as thread CPU time (CLOCK_THREAD_CPUTIME_ID)
-  /// instead of wall time. Concurrent throughput runs use this so one
-  /// session's latency is unaffected by timeslicing against the others.
-  bool thread_time = false;
   /// Collect phase-boundary timings into ExecutionResult::profile
   /// (native engine path).
   bool profile = false;

@@ -201,7 +201,6 @@ ExecutionResult Session::Run(QueryId id, const QueryParams& params,
   const IoStats io_before = ThreadIoSnapshot();
   const double io_millis_before = ThreadIoMillis();
   Stopwatch wall;
-  ThreadCpuStopwatch cpu;
   switch (engine.kind()) {
     case EngineKind::kNative: {
       auto& native = static_cast<engines::NativeEngine&>(engine);
@@ -261,13 +260,12 @@ ExecutionResult Session::Run(QueryId id, const QueryParams& params,
       break;
     }
   }
-  result.cpu_millis =
-      options.thread_time ? cpu.ElapsedMillis() : wall.ElapsedMillis();
+  result.wall_millis = wall.ElapsedMillis();
   result.io_millis = ThreadIoMillis() - io_millis_before;
   result.io = IoStatsDelta(io_before, ThreadIoSnapshot());
   ++stats_.queries_run;
   if (!result.status.ok()) ++stats_.failures;
-  stats_.cpu_millis += result.cpu_millis;
+  stats_.wall_millis += result.wall_millis;
   stats_.io_millis += result.io_millis;
   stats_.io.pool_hits += result.io.pool_hits;
   stats_.io.pool_misses += result.io.pool_misses;

@@ -15,7 +15,7 @@ namespace xbench::workload {
 struct SessionStats {
   uint64_t queries_run = 0;
   uint64_t failures = 0;
-  double cpu_millis = 0;
+  double wall_millis = 0;
   double io_millis = 0;
   IoStats io;
 };
@@ -24,7 +24,7 @@ struct SessionStats {
 /// multi-programming-level runs. A Session owns its query parameters, its
 /// per-operator plan statistics and its I/O attribution; any number of
 /// sessions may call Run() on the same engine from different threads
-/// concurrently and each still reports exact per-statement cpu/io splits
+/// concurrently and each still reports exact per-statement wall/io splits
 /// (per-thread virtual-I/O attribution, see common/thread_io.h).
 ///
 /// Locking: the native engine takes the collection lock shared inside its

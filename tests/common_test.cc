@@ -222,35 +222,29 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   WorkerPool pool(3);
   constexpr size_t kTotal = 1000;
   std::vector<std::atomic<int>> hits(kTotal);
-  ParallelRunStats stats;
+  size_t morsels = 0;
   Status status = pool.ParallelFor(
       kTotal, 4,
       [&hits](size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
         return Status::Ok();
       },
-      &stats);
+      &morsels);
   ASSERT_TRUE(status.ok()) << status.ToString();
   for (size_t i = 0; i < kTotal; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  EXPECT_EQ(stats.parallelism, 4);
-  EXPECT_GT(stats.morsels, 1u);
-  EXPECT_GE(stats.busy_millis, stats.caller_busy_millis);
-  // The modeled makespan schedules the measured morsel CPU onto 4 ideal
-  // lanes: bounded by the serial work above and by work/4 below.
-  EXPECT_LE(stats.modeled_millis, stats.busy_millis + 1e-9);
-  EXPECT_GE(stats.modeled_millis, stats.busy_millis / 4.0 - 1e-9);
+  EXPECT_GT(morsels, 1u);
 }
 
 TEST(WorkerPoolTest, ParallelForZeroTotalIsANoOp) {
   WorkerPool pool(2);
-  ParallelRunStats stats;
+  size_t morsels = 1;
   Status status = pool.ParallelFor(
-      0, 4, [](size_t) { return Status::Internal("never called"); }, &stats);
+      0, 4, [](size_t) { return Status::Internal("never called"); },
+      &morsels);
   EXPECT_TRUE(status.ok());
-  EXPECT_EQ(stats.morsels, 0u);
-  EXPECT_EQ(stats.busy_millis, 0.0);
+  EXPECT_EQ(morsels, 0u);
 }
 
 TEST(WorkerPoolTest, ParallelismOneRunsEverythingOnTheCaller) {
@@ -259,7 +253,7 @@ TEST(WorkerPoolTest, ParallelismOneRunsEverythingOnTheCaller) {
   std::atomic<size_t> count{0};
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> off_thread{false};
-  ParallelRunStats stats;
+  size_t morsels = 0;
   Status status = pool.ParallelFor(
       kTotal, 1,
       [&](size_t) {
@@ -267,13 +261,11 @@ TEST(WorkerPoolTest, ParallelismOneRunsEverythingOnTheCaller) {
         count.fetch_add(1);
         return Status::Ok();
       },
-      &stats);
+      &morsels);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(count.load(), kTotal);
   EXPECT_FALSE(off_thread.load());
-  EXPECT_EQ(stats.parallelism, 1);
-  // Every morsel ran on the caller, so the caller's CPU is all of it.
-  EXPECT_DOUBLE_EQ(stats.busy_millis, stats.caller_busy_millis);
+  EXPECT_GT(morsels, 0u);
 }
 
 TEST(WorkerPoolTest, LowestFailingIndexStatusWinsDeterministically) {

@@ -525,7 +525,7 @@ TEST(ConcurrentSessions, ColdRestartContractHoldsUnderRacingSessions) {
   lockrank::SetEnabled(was_enabled);
 }
 
-TEST(ThroughputDriverTest, SweepScalesAndMatchesSerialHashes) {
+TEST(ThroughputDriverTest, SweepRunsEverySessionAndMatchesSerialHashes) {
   harness::ThroughputOptions options;
   options.engine = EngineKind::kNative;
   options.db_class = DbClass::kTcSd;
@@ -540,11 +540,13 @@ TEST(ThroughputDriverTest, SweepScalesAndMatchesSerialHashes) {
   EXPECT_EQ(report.mpls[1].failures, 0u);
   EXPECT_EQ(report.mpls[0].ops, 4u);
   EXPECT_EQ(report.mpls[1].ops, 16u);
-  EXPECT_GT(report.mpls[0].qps, 0.0);
-  // Modeled throughput: MPL 4 must beat MPL 1 (the latency model sums
-  // thread-CPU + attributed-I/O per session, so added clients scale the
-  // aggregate until contention bites).
-  EXPECT_GT(report.SpeedupAt(4), 1.5);
+  // Measured wall time and the modelled virtual-disk time are reported
+  // per row; no timing ratio is asserted (it would depend on host load).
+  for (const harness::MplResult& row : report.mpls) {
+    EXPECT_GT(row.wall_millis, 0.0);
+    EXPECT_GT(row.qps, 0.0);
+    EXPECT_GE(row.io_virtual_millis, 0.0);
+  }
   // Percentiles come from the recorded per-statement latency histogram,
   // so they are positive and ordered.
   for (const harness::MplResult& row : report.mpls) {
@@ -560,6 +562,8 @@ TEST(ThroughputDriverTest, SweepScalesAndMatchesSerialHashes) {
   EXPECT_NE(json.find("\"answers_match_serial\":true"), std::string::npos);
   EXPECT_NE(json.find("\"p90_millis\""), std::string::npos);
   EXPECT_NE(json.find("\"p999_millis\""), std::string::npos);
+  EXPECT_NE(json.find("\"wall_millis\""), std::string::npos);
+  EXPECT_NE(json.find("\"io_virtual_millis\""), std::string::npos);
   EXPECT_NE(json.find("\"slo_satisfied\":true"), std::string::npos);
 }
 
